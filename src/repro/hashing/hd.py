@@ -15,10 +15,22 @@ inter-node gap, so corrupted lookups still return the pristine winner.
 Contrast with consistent hashing, where the same flip displaces a ring
 position by up to half the key space.
 
-Batched inference (``route_batch``) deduplicates the request batch onto
-its unique circle positions before querying the item memory -- the
-contiguous XOR+popcount sweep that stands in for the paper's GPU (and,
-ultimately, for the single-cycle associative memory of Schmuck et al.).
+Batched inference: every request lands on one of the codebook's ``n``
+circle nodes, so while the item memory is unchanged an answer is a
+function of at most ``n`` inputs.  The table memoizes, per circle
+position, the winning slot and its distance (plus a replica ranking for
+the largest ``k`` asked), filled on demand: a call marks the positions
+it reads in a boolean mask over the ``n`` nodes and runs one contiguous
+XOR+popcount sweep -- the stand-in for the paper's GPU (and, ultimately,
+for the single-cycle associative memory of Schmuck et al.) -- over only
+the positions not yet known.  The memo stays coherent by comparing
+bytes, not by hooks: every call compares the live item-memory words
+(and, with ``expose_codebook``, the codebook rows it reads) against the
+copy the memo was filled from, and any difference -- a join, a leave, a
+restore or an injected bit flip -- clears it.  Answers are therefore a
+pure function of the bytes :meth:`HDHashTable.memory_regions` exposes.
+Because routing calls write the memo, one table must not be routed from
+several threads at once.
 
 Placement details the paper leaves open (documented choices):
 
@@ -54,15 +66,6 @@ __all__ = ["HDHashTable", "HDConfig"]
 DEFAULT_DIM = 10_000
 #: Codebook size; the paper requires n > k and leaves n unreported.
 DEFAULT_CODEBOOK_SIZE = 4_096
-
-#: Batches at least this many times larger than the codebook skip the
-#: ``np.unique`` dedup and query every circle node instead: the batch
-#: saturates the codebook anyway, and gathering per-word results beats
-#: sorting millions of positions.  Smaller batches (including the
-#: delta-scoped reroutes, which concentrate on the departed server's few
-#: circle nodes) keep the dedup -- their unique-position count, not the
-#: batch size, is what the kernel sweep scales with.
-_DENSE_QUERY_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,11 @@ class HDHashTable(DynamicHashTable):
         self._memory = ItemMemory(self._codebook.dim, backend=backend)
         self._position_of: Dict[Key, int] = {}
         self._occupied: Dict[int, Key] = {}
+        self._forget()
+        #: Memo clears (the bytes it was filled from changed) and circle
+        #: positions swept into it, so no recompute goes uncounted.
+        self.memo_clears = 0
+        self.memo_fills = 0
 
     # -- introspection ----------------------------------------------------
 
@@ -160,8 +168,9 @@ class HDHashTable(DynamicHashTable):
     def batch_size(self) -> int:
         """Configured inference batch size (the paper uses 256 on its GPU).
 
-        Kept as declarative config; the batch kernel now sizes its own
-        sweeps by memory budget rather than fixed query counts.
+        Kept as declarative config: a call sweeps only the circle
+        positions the memo does not know yet, and the kernel sizes that
+        sweep by memory budget rather than by fixed query counts.
         """
         return self._batch_size
 
@@ -175,9 +184,7 @@ class HDHashTable(DynamicHashTable):
         n = self.codebook_size
         if len(self._occupied) >= n:
             raise CapacityError(
-                "circle is full: {} servers on {} nodes".format(
-                    len(self._occupied), n
-                )
+                "circle is full: {} servers on {} nodes".format(len(self._occupied), n)
             )
         position = int(word % n)
         while position in self._occupied:
@@ -195,34 +202,86 @@ class HDHashTable(DynamicHashTable):
         position = self._position_of.pop(server_id)
         del self._occupied[position]
 
-    # -- routing --------------------------------------------------------------
+    # -- routing: the per-position memo ----------------------------------
+
+    def _forget(self) -> None:
+        """Empty the memo and copy the bytes it will next be filled from."""
+        n = self.codebook_size
+        self._memo_rows = self._memory.memory_view().tobytes()
+        self._memo_codebook = (
+            self._codebook_words.copy() if self._expose_codebook else None
+        )
+        self._memo_known = np.zeros(n, dtype=bool)
+        self._memo_slot = np.zeros(n, dtype=np.int64)
+        self._memo_distance = np.zeros(n, dtype=np.int64)
+        self._memo_ranked = np.zeros(n, dtype=bool)
+        self._memo_ranking = np.zeros((n, 0), dtype=np.int64)
+
+    def _positions(self, words: np.ndarray) -> np.ndarray:
+        return (words % np.uint64(self.codebook_size)).astype(np.int64)
+
+    def _recall(self, positions, k: int = 0) -> None:
+        """Make the memo answer every circle position in ``positions``.
+
+        ``k = 0`` asks for winners only, ``k >= 1`` also for ``k``-long
+        replica rankings.  The memo is first checked against the live
+        bytes it depends on -- the item-memory rows, plus the codebook
+        rows read here when the codebook is an exposed region -- and
+        cleared on any difference.  The positions read and not yet
+        known then take one kernel sweep.  A ranking narrower than
+        ``k`` is dropped and refilled at width ``k``; rankings are
+        prefix-stable, so the widest one serves every smaller ``k``.
+        """
+        need = np.zeros(self.codebook_size, dtype=bool)
+        need[positions] = True
+        stale = self._memory.memory_view().tobytes() != self._memo_rows
+        if not stale and self._memo_codebook is not None:
+            read = need.nonzero()[0]
+            stale = not np.array_equal(
+                self._codebook_words[read], self._memo_codebook[read]
+            )
+        if stale:
+            self._forget()
+            self.memo_clears += 1
+        if k > self._memo_ranking.shape[1]:
+            self._memo_ranked[:] = False
+            self._memo_ranking = np.zeros((self.codebook_size, k), dtype=np.int64)
+        need &= ~(self._memo_ranked if k else self._memo_known)
+        missing = need.nonzero()[0]
+        if not missing.size:
+            return
+        queries = self._codebook_words[missing]
+        if k:
+            ranking, distances = self._memory.query_top_k_words(
+                queries, self._memo_ranking.shape[1]
+            )
+            self._memo_ranking[missing] = ranking
+            self._memo_ranked[missing] = True
+            slots, distances = ranking[:, 0], distances[:, 0]
+        else:
+            slots, distances = self._memory.query_batch_words(queries)
+        self._memo_slot[missing] = slots
+        self._memo_distance[missing] = distances
+        self._memo_known[missing] = True
+        self.memo_fills += int(missing.size)
 
     def route_word(self, word: int) -> int:
         self._require_servers()
-        position = int(word % self.codebook_size)
-        slot, __, __ = self._memory.query_words(self._codebook_words[position])
-        return slot
+        position = int(word) % self.codebook_size
+        self._recall(position)
+        return int(self._memo_slot[position])
 
     def _route_batch(self, words: np.ndarray) -> np.ndarray:
-        """Batched inference over the unique circle positions of a batch.
+        """Batched inference through the per-position memo.
 
         Requests sharing a circle position share a similarity query, so
-        a batch of b requests costs one kernel sweep over ``min(b, n)``
-        unique queries -- a single XOR+popcount pass over the
-        mutation-time uint64 views of codebook and item memory, with no
-        per-word or per-chunk Python dispatch.  Empty batches are
-        short-circuited by :meth:`route_batch` before the ``np.unique``
-        indexing path.
+        a batch costs at most one kernel sweep over the distinct
+        positions it reads that the memo does not know yet -- none at
+        all on a warm memo -- then one gather.
         """
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            slots, __ = self._memory.query_batch_words(self._codebook_words)
-            return slots[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        slots, __ = self._memory.query_batch_words(
-            self._codebook_words[unique_positions]
-        )
-        return slots[inverse]
+        positions = self._positions(words)
+        self._recall(positions)
+        return self._memo_slot[positions]
 
     # -- delta kernels ------------------------------------------------------
 
@@ -234,19 +293,9 @@ class HDHashTable(DynamicHashTable):
         # delta contract reproduces the first-minimum argmin exactly.
         if not self._server_ids:
             return None
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            # More words than circle nodes: querying the whole codebook
-            # and gathering beats the sort inside np.unique.
-            __, distances = self._memory.query_batch_words(
-                self._codebook_words
-            )
-            return -distances[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        __, distances = self._memory.query_batch_words(
-            self._codebook_words[unique_positions]
-        )
-        return -distances[inverse]
+        positions = self._positions(words)
+        self._recall(positions)
+        return -self._memo_distance[positions]
 
     def _delta_challenge(
         self, server_id: Key, words: np.ndarray
@@ -255,20 +304,17 @@ class HDHashTable(DynamicHashTable):
             row = self._memory.index_of(server_id)
         except KeyError:
             return None
-        row_words = self._memory.memory_words()[row]
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            distances = hamming_words(
-                self._codebook_words, row_words, self._memory.backend
-            )
-            return -np.asarray(distances, dtype=np.int64)[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        distances = hamming_words(
-            self._codebook_words[unique_positions],
-            row_words,
+        positions = self._positions(words)
+        reads = np.zeros(self.codebook_size, dtype=bool)
+        reads[positions] = True
+        read = reads.nonzero()[0]
+        scores = np.zeros(self.codebook_size, dtype=np.int64)
+        scores[read] = -hamming_words(
+            self._codebook_words[read],
+            self._memory.memory_words()[row],
             self._memory.backend,
         )
-        return -np.asarray(distances, dtype=np.int64)[inverse]
+        return scores[positions]
 
     def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
         """Native replica path: the ``k`` nearest item-memory rows.
@@ -276,30 +322,24 @@ class HDHashTable(DynamicHashTable):
         HD inference ranks the whole pool for free -- the similarity
         scores of Eq. 2 are computed against every stored hypervector
         anyway -- so the replica set is the top-k of the same sweep the
-        single-server lookup argmins over.  Goes through the same
-        packed-word kernel as the batch path, so scalar and batch agree
-        bit-exactly (including tie-breaks toward the earliest-joined
-        server).
+        single-server lookup argmins over.  Served from the same memo
+        as the batch path, so scalar and batch agree bit-exactly
+        (including tie-breaks toward the earliest-joined server).
         """
-        position = int(word % self.codebook_size)
-        indices, __ = self._memory.query_top_k_words(
-            self._codebook_words[position][None, :], k
-        )
-        return indices[0]
+        position = int(word) % self.codebook_size
+        self._recall(position, k)
+        return self._memo_ranking[position, :k].copy()
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batched replica inference, deduplicated onto circle positions.
+        """Batched replica inference through the per-position memo.
 
-        One packed-word top-k kernel sweep over the batch's unique
-        circle positions -- no per-key Python loop, mirroring
-        :meth:`_route_batch`.
+        At most one packed-word top-k sweep over the distinct circle
+        positions not yet ranked, then one gather -- no per-key Python
+        loop, mirroring :meth:`_route_batch`.
         """
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        slots, __ = self._memory.query_top_k_words(
-            self._codebook_words[unique_positions], k
-        )
-        return slots[inverse]
+        positions = self._positions(words)
+        self._recall(positions, k)
+        return self._memo_ranking[positions, :k]
 
     # -- snapshot / restore -------------------------------------------------
 
@@ -395,24 +435,20 @@ class HDHashTable(DynamicHashTable):
         for label, row in zip(server_ids, rows):
             self._memory.add_packed(label, row)
         self._position_of = {
-            server_id: int(position)
-            for server_id, position in payload["positions"]
+            server_id: int(position) for server_id, position in payload["positions"]
         }
         self._occupied = {
-            position: server_id
-            for server_id, position in self._position_of.items()
+            position: server_id for server_id, position in self._position_of.items()
         }
+        # The codebook itself may have been replaced above, not just
+        # rewritten in place, so the memo restarts from the new bytes.
+        self._forget()
+        self.memo_clears += 1
 
     # -- fault-injection surface ------------------------------------------------
 
     def memory_regions(self) -> List[MemoryRegion]:
-        regions = [
-            MemoryRegion(
-                "item_memory", self._memory.memory_view(), self.dim
-            )
-        ]
+        regions = [MemoryRegion("item_memory", self._memory.memory_view(), self.dim)]
         if self._expose_codebook:
-            regions.append(
-                MemoryRegion("codebook", self._codebook_packed, self.dim)
-            )
+            regions.append(MemoryRegion("codebook", self._codebook_packed, self.dim))
         return regions

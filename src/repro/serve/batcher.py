@@ -347,10 +347,3 @@ class MicroBatcher:
             self._arrival.set()
         if self._burst is not None:
             self._burst.set()
-
-
-def _resolve(request: Request, result: Any) -> None:
-    """Resolve a request's future, tolerating sync use and cancellation."""
-    future = request.future
-    if future is not None and not future.done():
-        future.set_result(result)
