@@ -19,23 +19,26 @@ value.
 The layout is columnar, sized to the serving tier's batch dispatch: a
 plain ``dict`` maps key -> slot, and three capacity-length arrays hold
 each slot's key, value and *recency stamp* (a monotonic counter ticked
-once per touch).  The LRU entry is simply the live slot with the lowest
-stamp, so recency refreshes are bulk fancy-index writes, batch reads
-are one C-level ``dict.get`` sweep plus one gather, and evictions pick
-victims by ``argmin``/``argpartition`` over the stamp column -- no
-per-key ``OrderedDict`` relinking anywhere on the serving hot path.
-The bulk entry points (:meth:`HotKeyCache.get_many`,
-:meth:`HotKeyCache.put_many`, :meth:`HotKeyCache.invalidate_many`) are
-bit-equivalent to issuing their scalar counterparts in sequence --
-contents, eviction order *and* hit/miss/eviction counters -- which the
-LRU-oracle property suite (``tests/serve/test_cache_oracle.py``) pins
-against an ``OrderedDict`` reference on random op schedules.
+once per touch).  The LRU entry is the live slot with the lowest stamp,
+so recency refreshes are bulk fancy-index writes and batch reads are
+one C-level ``dict.get`` sweep plus one gather.  A fill into a full
+cache picks all its victims with one ``argpartition`` of the stamp
+column -- the lowest-stamp entries the batch does not touch -- and
+installs the batch with bulk dict and array writes.  A batch that
+evicts an entry before touching it (sequential puts then re-insert it)
+instead walks its evictions one by one over the lowest stamps, counted
+in ``walked_fills``, and still installs in bulk.  The bulk
+entry points are bit-equivalent to their scalar counterparts issued in
+sequence -- contents, eviction order *and* hit/miss/eviction counters
+-- which ``tests/serve/test_cache_oracle.py`` pins against an
+``OrderedDict`` reference on random and serving-scale schedules.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import repeat
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +76,12 @@ class HotKeyCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        #: ``put_many`` batches whose victims one ``argpartition`` could
+        #: not name, walked one eviction at a time instead.
+        self.walked_fills = 0
+        #: ``put_many`` batches replayed as scalar puts: the walk ran past
+        #: every pre-batch entry (only a cache narrower than the batch).
+        self.sequential_fills = 0
 
     # -- introspection ----------------------------------------------------
 
@@ -188,16 +197,9 @@ class HotKeyCache:
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
         """Batched :meth:`put`, bit-equivalent to the sequential loop.
 
-        The common serving shapes are columnar: when no eviction can
-        occur (every key already cached, or enough free room for the
-        batch's new keys) the whole batch is one slot sweep, one value
-        scatter and one bulk stamp assignment.  Only a batch that must
-        evict takes the slot-at-a-time path -- and that path picks its
-        victims from one ``argpartition`` of the stamp column instead
-        of a per-eviction scan, while reproducing the exact sequential
-        eviction schedule (a key evicted mid-batch and re-put later is
-        re-inserted, and every eviction event counts, just as scalar
-        puts would).
+        The batch's distinct new keys take the free slots first (in
+        scalar LIFO pop order), then the victims :meth:`_pick_victims`
+        names, and the batch lands as bulk dict and array writes.
         """
         n = len(keys)
         if n != len(values):
@@ -205,98 +207,136 @@ class HotKeyCache:
                 "put_many needs aligned batches, got {} keys and {} "
                 "values".format(n, len(values))
             )
-        if n == 0:
-            return
         slots_map = self._slots
         slots = np.fromiter(
             map(slots_map.get, keys, repeat(-1)), dtype=np.int64, count=n
         )
         new_positions = np.flatnonzero(slots < 0)
         if new_positions.size:
-            new_keys = [keys[position] for position in new_positions.tolist()]
-            if len(slots_map) + len(set(new_keys)) > self._capacity:
-                self._put_many_evicting(keys, values)
-                return
+            batch_new = [keys[position] for position in new_positions.tolist()]
+            new_keys = list(dict.fromkeys(batch_new))
             free = self._free
-            keys_column = self._keys
-            for position, key in zip(new_positions.tolist(), new_keys):
-                slot = slots_map.get(key, -1)
-                if slot < 0:
-                    slot = free.pop()
-                    slots_map[key] = slot
-                    keys_column[slot] = key
-                slots[position] = slot
-        values_column = self._values
-        for slot, value in zip(slots.tolist(), values):
-            values_column[slot] = value
+            keep = max(len(free) - len(new_keys), 0)
+            claimed = np.array(free[keep:][::-1], dtype=np.int64)
+            if len(new_keys) > len(claimed):
+                picked = self._pick_victims(
+                    keys, slots, batch_new, new_positions, new_keys[len(claimed) :]
+                )
+                if picked is None:
+                    self.sequential_fills += 1
+                    for key, value in zip(keys, values):
+                        self.put(key, value)
+                    return
+                victims, installed = picked
+                for victim in self._keys[victims].tolist():
+                    del slots_map[victim]
+                self.evictions += len(victims)
+                new_keys = new_keys[: len(claimed)] + installed
+                claimed = np.concatenate((claimed, victims))
+            del free[keep:]
+            slots_map.update(zip(new_keys, claimed.tolist()))
+            self._keys[claimed] = np.fromiter(
+                new_keys, dtype=object, count=len(new_keys)
+            )
+            slots = np.fromiter(
+                map(slots_map.__getitem__, keys), dtype=np.int64, count=n
+            )
+        # fromiter stores each value as one object -- equal-length
+        # arrays or tuples are never broadcast into the column (object
+        # dtype needs NumPy 1.23, the floor pyproject.toml declares).
+        self._values[slots] = np.fromiter(values, dtype=object, count=n)
         self._stamps[slots] = np.arange(
             self._clock, self._clock + n, dtype=np.int64
         )
         self._clock += n
 
-    def _put_many_evicting(
-        self, keys: Sequence[Key], values: Sequence[Any]
-    ) -> None:
-        """The eviction regime of :meth:`put_many` (exact LRU schedule).
+    def _pick_victims(
+        self,
+        keys: Sequence[Key],
+        slots: np.ndarray,
+        batch_new: List[Key],
+        new_positions: np.ndarray,
+        evicting_keys: List[Key],
+    ) -> Optional[Tuple[np.ndarray, List[Key]]]:
+        """The slots a full cache evicts for ``keys`` and the keys taking them.
 
-        Victim order is precomputed once: the batch can evict at most
-        ``len(keys)`` entries and skip at most ``len(keys)`` refreshed
-        ones, so the ``2n + 1`` lowest pre-batch stamps (one
-        ``argpartition``) cover every victim the sequential schedule
-        can reach.  Entries refreshed by the batch are recognised by
-        their stamp having moved past the batch's start tick and
-        skipped; should the pre-batch pool run dry (capacity smaller
-        than the batch), victims continue among batch-stamped slots in
-        stamp order, which is exactly the sequential LRU order again.
+        Each of ``evicting_keys`` (the new keys past the free room)
+        evicts the LRU entry at its first position.  Touched entries
+        take batch stamps, above every pre-batch stamp, so the victims
+        are the lowest-stamp entries the batch leaves untouched (one
+        ``argpartition``) -- unless a touched entry below the last
+        victim is first touched after the eviction that reaches it
+        (``searchsorted`` over the victim stamps), or too few stay
+        untouched: then :meth:`_walk_victims` replays the evictions.
         """
-        slots_map = self._slots
+        evict = len(evicting_keys)
         stamps = self._stamps
-        keys_column = self._keys
-        values_column = self._values
-        free = self._free
-        clock = self._clock
-        start = clock
-        live = np.fromiter(
-            slots_map.values(), dtype=np.int64, count=len(slots_map)
+        hit_positions = np.flatnonzero(slots >= 0)
+        hit_slots = slots[hit_positions]
+        untouched = stamps.copy()
+        untouched[hit_slots] = _FREE
+        pick = min(evict, self._capacity)
+        victims = np.argpartition(untouched, pick - 1)[:pick]
+        victims = victims[np.argsort(untouched[victims])]
+        victim_stamps = untouched[victims]
+        hit_stamps = stamps[hit_slots]
+        below = np.flatnonzero(hit_stamps < victim_stamps[-1])
+        fits = pick == evict and victim_stamps[-1] != _FREE
+        if fits and not below.size:
+            return victims, evicting_keys
+        first_position = dict(
+            zip(reversed(batch_new), reversed(new_positions.tolist()))
         )
-        pool = 2 * len(keys) + 1
-        if live.size > pool:
-            live = live[np.argpartition(stamps[live], pool)[:pool]]
-        victims = live[np.argsort(stamps[live])].tolist()
-        victim_cursor = 0
-        #: Every stamp assigned this batch, in order -- the fallback
-        #: victim queue once all pre-batch entries are consumed.
-        stamped: List[Tuple[int, int]] = []
-        stamped_cursor = 0
-        evictions = 0
-        for key, value in zip(keys, values):
-            slot = slots_map.get(key, -1)
-            if slot < 0:
-                if free:
-                    slot = free.pop()
-                else:
-                    slot = -1
-                    while victim_cursor < len(victims):
-                        candidate = victims[victim_cursor]
-                        victim_cursor += 1
-                        if stamps[candidate] < start:
-                            slot = candidate
-                            break
-                    while slot < 0:
-                        candidate, stamp = stamped[stamped_cursor]
-                        stamped_cursor += 1
-                        if stamps[candidate] == stamp:
-                            slot = candidate
-                    del slots_map[keys_column[slot]]
-                    evictions += 1
-                slots_map[key] = slot
-                keys_column[slot] = key
-            values_column[slot] = value
-            stamps[slot] = clock
-            stamped.append((slot, clock))
-            clock += 1
-        self._clock = clock
-        self.evictions += evictions
+        events = np.fromiter(
+            map(first_position.__getitem__, evicting_keys), dtype=np.int64
+        )
+        if fits and np.all(
+            hit_positions[below]
+            < events[np.searchsorted(victim_stamps, hit_stamps[below])]
+        ):
+            return victims, evicting_keys
+        self.walked_fills += 1
+        return self._walk_victims(keys, hit_positions, hit_slots, events.tolist())
+
+    def _walk_victims(
+        self,
+        keys: Sequence[Key],
+        hit_positions: np.ndarray,
+        hit_slots: np.ndarray,
+        events: List[int],
+    ) -> Optional[Tuple[np.ndarray, List[Key]]]:
+        """Replay the evictions at the ascending positions ``events``.
+
+        The LRU pointer walks pre-batch entries in stamp order, skipping
+        each one touched before the eviction that reaches it; an entry
+        evicted before its first touch is re-inserted there, one more
+        eviction.  Each position consumes at most one entry, so the
+        ``len(keys) + 1`` lowest stamps cover the walk; ``None`` when it
+        runs past every live entry (only a cache narrower than the batch).
+        """
+        n = len(keys)
+        stamps = self._stamps
+        touch = np.full(self._capacity, n, dtype=np.int64)
+        touch[hit_slots[::-1]] = hit_positions[::-1]
+        pool = np.argpartition(stamps, min(n, self._capacity - 1))[: n + 1]
+        pool = pool[np.argsort(stamps[pool])]
+        pool = pool[stamps[pool] != _FREE].tolist()
+        pool_touch = touch[pool].tolist()
+        victims: List[int] = []
+        installed: List[Key] = []
+        cursor = 0
+        while events:
+            position = heappop(events)
+            while cursor < len(pool) and pool_touch[cursor] < position:
+                cursor += 1
+            if cursor == len(pool):
+                return None
+            victims.append(pool[cursor])
+            installed.append(keys[position])
+            if pool_touch[cursor] < n:
+                heappush(events, pool_touch[cursor])
+            cursor += 1
+        return np.array(victims, dtype=np.int64), installed
 
     def _evict_lru(self) -> int:
         """Drop the lowest-stamp entry; returns its now-reusable slot.
@@ -346,10 +386,6 @@ class HotKeyCache:
                 evicted += 1
         self.invalidations += evicted
         return evicted
-
-    def invalidate_keys(self, keys: Iterable[Key]) -> int:
-        """Alias of :meth:`invalidate_many` (the pre-columnar name)."""
-        return self.invalidate_many(keys)
 
     def flush(self) -> int:
         """Drop everything; returns the number of entries dropped.

@@ -89,7 +89,7 @@ class TestInvalidation:
         cache = HotKeyCache(8)
         for key in "abcd":
             cache.put(key, key)
-        evicted = cache.invalidate_keys(["a", "c", "x", "y"])
+        evicted = cache.invalidate_many(["a", "c", "x", "y"])
         assert evicted == 2
         assert cache.keys() == ("b", "d")
         assert cache.invalidations == 2
@@ -98,7 +98,7 @@ class TestInvalidation:
         cache = HotKeyCache(8)
         for key in range(6):
             cache.put(key, key * 10)
-        cache.invalidate_keys([1, 3])
+        cache.invalidate_many([1, 3])
         for key in (0, 2, 4, 5):
             assert cache.peek(key) == key * 10
 

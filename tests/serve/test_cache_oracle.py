@@ -7,7 +7,9 @@ order, and the hit/miss/eviction/invalidation counters.  This suite
 drives random schedules of get/put/invalidate/flush (scalar and bulk,
 including capacity 1, duplicate keys inside one batch, and invalidation
 mid-stream) against the reference implementation below and asserts the
-full observable state after every step.
+full observable state after every step.  The serving-scale schedules
+(capacity 1,024-4,096, 256-key batches) reach the columnar eviction
+path of ``put_many`` and its counted per-eviction walk.
 """
 
 from __future__ import annotations
@@ -226,3 +228,208 @@ class TestBulkSurfaces:
         assert cache.key_set() == {"a", "b"}
         cache.invalidate("a")
         assert cache.key_set() == {"b"}
+
+
+#: Serving-scale batch width (the micro-batcher's default flush size).
+SERVING_BATCH = 256
+
+#: Key spellings the serving tier accepts.
+KEY_KINDS = {
+    "int": int,
+    "str": "key-{}".format,
+    "bytes": lambda index: b"key-%d" % index,
+}
+
+
+def put_both(cache, oracle, keys, values):
+    cache.put_many(keys, values)
+    for key, value in zip(keys, values):
+        oracle.put(key, value)
+
+
+def full_pair(capacity, make_key=int, fill=None):
+    """A cache and its oracle holding keys ``0..fill-1`` (default full)."""
+    cache = HotKeyCache(capacity)
+    oracle = OracleLRU(capacity)
+    keys = [make_key(index) for index in range(capacity if fill is None else fill)]
+    put_both(cache, oracle, keys, [object() for __ in keys])
+    return cache, oracle
+
+
+class TestServingScaleEviction:
+    """Full caches of 1,024-4,096 entries absorbing 256-key batches."""
+
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    def test_all_new_batches_stay_columnar(self, capacity):
+        cache, oracle = full_pair(capacity)
+        fresh = iter(range(capacity, 10 * capacity))
+        for __ in range(6):
+            keys = [next(fresh) for __ in range(SERVING_BATCH)]
+            put_both(cache, oracle, keys, [object() for __ in keys])
+            assert_equivalent(cache, oracle)
+        assert cache.evictions == 6 * SERVING_BATCH
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    def test_lru_tail_after_new_keys_walks(self, capacity):
+        # The LRU entries are touched only after the new keys that
+        # evict them: sequential puts evict them first and re-insert
+        # them on their touch, which only the per-eviction walk follows.
+        cache, oracle = full_pair(capacity)
+        new = list(range(capacity, capacity + 200))
+        tail = list(oracle.keys()[:40])
+        keys = new + tail
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.walked_fills == 1
+        assert cache.sequential_fills == 0
+
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    def test_lru_tail_before_new_keys_stays_columnar(self, capacity):
+        # Touched before any eviction, the tail entries are refreshed
+        # out of the victims' way and the next-oldest entries go.
+        cache, oracle = full_pair(capacity)
+        tail = list(oracle.keys()[:40])
+        keys = tail + list(range(capacity, capacity + 216))
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+
+    def test_touch_before_the_eviction_that_reaches_it_stays_columnar(self):
+        # The odd-ranked LRU entries are touched, each right after the
+        # new key that evicts the even-ranked entry below it and so
+        # before the eviction that would reach it.
+        cache, oracle = full_pair(1024)
+        tail = oracle.keys()
+        keys = []
+        for offset in range(SERVING_BATCH // 2):
+            keys += [1024 + offset, tail[2 * offset + 1]]
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+
+    def test_touch_after_the_eviction_that_reaches_it_walks(self):
+        # One new key earlier, and every odd-ranked entry is the LRU
+        # when the new key in front of its touch arrives.
+        cache, oracle = full_pair(1024)
+        tail = oracle.keys()
+        keys = [1024]
+        for offset in range(SERVING_BATCH // 2):
+            keys += [1025 + offset, tail[2 * offset + 1]]
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.walked_fills == 1
+        assert cache.sequential_fills == 0
+
+    def test_reinserted_keys_recur_later_in_the_batch(self):
+        # Every LRU-tail key is evicted by the new keys in front of it,
+        # re-inserted at its first touch (evicting once more), then hit
+        # again as a batch entry after more new keys.
+        cache, oracle = full_pair(1024)
+        tail = list(oracle.keys()[:64])
+        keys = list(range(1024, 1152)) + tail + list(range(2048, 2080)) + tail[::2]
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.evictions == 128 + 64 + 32
+        assert cache.walked_fills == 1
+        assert cache.sequential_fills == 0
+
+    def test_batch_wider_than_the_cache_replays_scalar_puts(self):
+        # A batch that evicts more pre-batch entries than the cache
+        # holds outruns the walk; sequential puts then evict entries
+        # the batch itself installed.
+        cache, oracle = full_pair(64)
+        keys = list(range(64, 64 + 200)) + list(range(0, 64, 3))
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.sequential_fills == 1
+
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    def test_duplicate_new_keys(self, capacity):
+        cache, oracle = full_pair(capacity)
+        distinct = list(range(capacity, capacity + 100))
+        rng = np.random.default_rng(capacity)
+        keys = distinct + [int(key) for key in rng.choice(distinct, 156)]
+        rng.shuffle(keys)
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.evictions == len(set(keys))
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    def test_partial_free_room_plus_evictions(self, capacity):
+        cache, oracle = full_pair(capacity, fill=capacity - 100)
+        cache.invalidate_many(range(0, 300, 3))
+        for key in range(0, 300, 3):
+            oracle.invalidate(key)
+        keys = list(range(capacity, capacity + SERVING_BATCH))
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+        assert cache.evictions == SERVING_BATCH - 200
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+        # The freed slots were reused: the next batch evicts in full.
+        keys = list(range(2 * capacity, 2 * capacity + SERVING_BATCH))
+        put_both(cache, oracle, keys, [object() for __ in keys])
+        assert_equivalent(cache, oracle)
+
+    @pytest.mark.parametrize("kind", sorted(KEY_KINDS))
+    @pytest.mark.parametrize("capacity", [1024, 4096])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_serving_schedules(self, kind, capacity, seed):
+        # Read-then-install batches over a universe 3x the cache.  Even
+        # steps splice LRU-tail keys in at random positions (mostly the
+        # walk); odd steps mix uncached keys, duplicates and most-recent
+        # entries (the single victim pick).
+        make_key = KEY_KINDS[kind]
+        rng = np.random.default_rng(97 * capacity + seed)
+        cache, oracle = full_pair(capacity, make_key)
+        universe = 3 * capacity
+        steps = 24
+        for step in range(steps):
+            drawn = [make_key(int(key)) for key in rng.integers(0, universe, 192)]
+            if step % 2:
+                keys = [key for key in drawn if key not in oracle.entries]
+                spliced = oracle.keys()[-SERVING_BATCH:] + tuple(keys)
+            else:
+                keys = drawn
+                spliced = oracle.keys()[: 2 * SERVING_BATCH]
+            for index in rng.choice(len(spliced), SERVING_BATCH - len(keys)):
+                position = int(rng.integers(0, len(keys) + 1))
+                keys.insert(position, spliced[index])
+            probes = keys[::4]
+            values, found = cache.get_many(probes, default=_ABSENT)
+            for got, key in zip(values, probes):
+                assert got is oracle.get(key, _ABSENT)
+            put_both(cache, oracle, keys, [object() for __ in keys])
+            assert_equivalent(cache, oracle)
+        assert 0 < cache.walked_fills < steps
+        assert cache.sequential_fills == 0
+
+    @pytest.mark.parametrize(
+        "make_value",
+        [lambda index: np.arange(index, index + 3), lambda index: (index, -index)],
+        ids=["arrays", "tuples"],
+    )
+    def test_equal_length_values_are_not_broadcast(self, make_value):
+        cache, oracle = full_pair(1024)
+        keys = list(range(1024, 1024 + SERVING_BATCH))
+        values = [make_value(key) for key in keys]
+        put_both(cache, oracle, keys, values)
+        assert_equivalent(cache, oracle)
+        assert cache.walked_fills == 0
+        assert cache.sequential_fills == 0
+        for key, value in zip(keys, values):
+            assert cache.peek(key) is value
+        # The same through an object array, the read path's install shape.
+        column = np.empty(SERVING_BATCH, dtype=object)
+        column[:] = [make_value(-key) for key in keys]
+        fresh = list(range(4096, 4096 + SERVING_BATCH))
+        put_both(cache, oracle, fresh, column)
+        assert_equivalent(cache, oracle)
+        for key, value in zip(fresh, column):
+            assert cache.peek(key) is value
