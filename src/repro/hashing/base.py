@@ -230,8 +230,12 @@ class DynamicHashTable(ABC):
 
     def lookup(self, key: Key) -> Key:
         """Map one request key to a server identifier (scalar path)."""
+        return self.lookup_word(self._family.word(key))
+
+    def lookup_word(self, word: int) -> Key:
+        """Map one pre-hashed word to a server identifier (scalar path)."""
         self._require_servers()
-        return self._server_ids[self.route_word(self._family.word(key))]
+        return self._server_ids[self.route_word(word)]
 
     def words_of_keys(self, keys: Sequence[Key]) -> np.ndarray:
         """Hash a batch of request keys to pre-routed 64-bit words.
@@ -477,11 +481,10 @@ class DynamicHashTable(ABC):
           state.
 
         These properties are what the service layer's avoid-set
-        failover builds on: :meth:`Router.route
-        <repro.service.router.Router.route>` and
-        :meth:`ClusterRouter.route
-        <repro.service.cluster.ClusterRouter.route>` serve a key from
-        the first replica *not* in the avoid set -- flagging a server
+        failover builds on: :meth:`Router.route_words
+        <repro.service.router.Router.route_words>` (behind every
+        router's and cluster's ``route``) serves a key from the first
+        replica *not* in the avoid set -- flagging a server
         re-ranks traffic onto each key's next preferred replica without
         any membership change, and lifting the flag restores the
         original placement because the underlying replica sequence

@@ -237,10 +237,10 @@ class HierarchicalHashTable(DynamicHashTable):
         # batched path (one outer sweep + per-group inner sweeps).
         return self._rehash_replicas_batch(words, k)
 
-    def lookup(self, key: Key) -> Key:
+    def lookup_word(self, word: int) -> Key:
         """Two-level lookup (group, then server within the group)."""
         self._require_servers()
-        return self._route_via_groups(self._family.word(key))
+        return self._route_via_groups(word)
 
     # -- snapshot / restore -------------------------------------------------
 

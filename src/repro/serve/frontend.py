@@ -17,20 +17,20 @@ membership change -- so every stored (hence cacheable) key is tracked
 when an epoch closes.
 
 :class:`ServingFrontend` assembles the whole tier -- data plane,
-hot-key cache, micro-batcher, metrics -- wires the invalidator(s) up
-(per *shard* for a :class:`~repro.service.cluster.ClusterRouter`, since
-each shard closes its own epochs with shard-local plans), and exposes
-the client-facing async ``get``/``put``/``delete``.
+hot-key cache, micro-batcher, metrics -- subscribes one invalidator to
+the data plane's router (a :class:`~repro.service.cluster.ClusterRouter`
+fans the subscription out to its shards, each of which closes its own
+epochs with shard-local plans), and exposes the client-facing async
+``get``/``put``/``delete``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..hashfn import Key
-from ..service.cluster import ClusterRouter
-from ..service.router import EpochResult, Router, RouterObserver
+from ..service.router import EpochResult, RouterObserver
 from .batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY, MicroBatcher
 from .cache import DEFAULT_CAPACITY, HotKeyCache
 from .metrics import ServingMetrics
@@ -47,9 +47,9 @@ class EpochInvalidator(RouterObserver):
         source,
         metrics: Optional[ServingMetrics] = None,
     ):
-        #: ``source`` is the router whose epochs this observer receives
-        #: (a shard router, for a cluster) -- consulted for whether a
-        #: probe population was tracked when the epoch closed.
+        #: ``source`` is the router (or cluster) whose epochs this
+        #: observer receives -- consulted for whether a probe population
+        #: was tracked when the epoch closed.
         self._cache = cache
         self._source = source
         self._metrics = metrics
@@ -106,22 +106,11 @@ class ServingFrontend:
             max_batch=max_batch,
             max_delay=max_delay,
         )
-        self._invalidators: List[Tuple[Router, EpochInvalidator]] = []
         self._task: Optional["asyncio.Task"] = None
-        self._subscribe_invalidators()
-
-    def _subscribe_invalidators(self) -> None:
-        router = self._plane.router
-        if isinstance(router, ClusterRouter):
-            # Each shard closes its own epochs with a shard-local plan,
-            # so each gets its own invalidator bound to that shard.
-            sources = [router.shard(index) for index in range(router.n_shards)]
-        else:
-            sources = [router]
-        for source in sources:
-            invalidator = EpochInvalidator(self._cache, source, metrics=self._metrics)
-            source.subscribe(invalidator)
-            self._invalidators.append((source, invalidator))
+        self._invalidator: Optional[EpochInvalidator] = EpochInvalidator(
+            self._cache, plane.router, metrics=self._metrics
+        )
+        plane.router.subscribe(self._invalidator)
 
     # -- introspection ----------------------------------------------------
 
@@ -163,10 +152,10 @@ class ServingFrontend:
             self._task = None
 
     def close(self) -> None:
-        """Detach the epoch invalidators from their routers."""
-        for source, invalidator in self._invalidators:
-            source.unsubscribe(invalidator)
-        self._invalidators.clear()
+        """Detach the epoch invalidator from the router (idempotent)."""
+        if self._invalidator is not None:
+            self._plane.router.unsubscribe(self._invalidator)
+            self._invalidator = None
 
     # -- client API --------------------------------------------------------
 

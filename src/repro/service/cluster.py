@@ -26,12 +26,14 @@ facade:
   be restored in place (:meth:`restore_shard`) without touching its
   peers -- and instead of silently stranding the keys the swap
   reroutes, the restore emits the migration plan that rescues them;
-* :meth:`route` / :meth:`route_batch` are failover-aware with the same
-  contract as :class:`Router`: a persistent :meth:`avoid` set (plus an
-  optional per-call ``avoid``) excludes flagged servers, serving their
-  keys from the first healthy replica, while :meth:`assign` /
-  :meth:`assign_batch` stay avoid-blind (writes land at the assigned
-  owner so a transient health flag never strands data).
+* avoid flags and failover live in the shard routers: :meth:`avoid` /
+  :meth:`readmit` flag a server on every shard that holds it (and a
+  flagged server that joins a shard through the cluster is flagged
+  there too), and :meth:`route` / :meth:`route_batch` hand each shard
+  its words (plus any per-call ``avoid``) for
+  :meth:`Router.route_word` / :meth:`Router.route_words` to fail over;
+  :meth:`assign` / :meth:`assign_batch` stay avoid-blind (writes land
+  at the assigned owner so a transient health flag never strands data).
 
 Every shard shares the same key-hashing family (same seed), so the
 cluster hashes each key exactly once and feeds the pre-routed words to
@@ -50,14 +52,13 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 import numpy as np
 
-from ..errors import EmptyTableError, StateError, UnknownServerError
+from ..errors import StateError, UnknownServerError
 from ..hashfn import Key
 from ..hashing.base import DynamicHashTable
 from ..hashing.registry import TableSpec, make_table
@@ -145,7 +146,6 @@ class ClusterRouter:
         self._shard_family = self._family.derive("cluster-shard")
         self._history: List[ClusterEpochRecord] = []
         self._probe_keys: Optional[np.ndarray] = None
-        self._avoided: Set[Key] = set()
         if probe_keys is not None:
             self.track(probe_keys)
 
@@ -251,37 +251,66 @@ class ClusterRouter:
 
     @property
     def avoided(self) -> frozenset:
-        """Servers currently excluded from serving (failover targets)."""
-        return frozenset(self._avoided)
+        """Servers currently excluded from serving: every shard's flags."""
+        return frozenset().union(*(router.avoided for router in self._shards))
 
     def avoid(self, server_id: Key) -> None:
         """Exclude a member from serving cluster-wide, same contract as
-        :meth:`Router.avoid`: no membership change, no epoch, keys it
-        owns served by their first non-avoided replica until the flag
-        lifts or the control plane reconciles it out."""
-        if server_id not in set(self.server_ids):
+        :meth:`Router.avoid`: every shard that holds ``server_id`` flags
+        it (no membership change, no epoch) until the flag lifts or the
+        control plane reconciles it out."""
+        holders = [router for router in self._shards if server_id in router]
+        if not holders:
             raise UnknownServerError(server_id)
-        self._avoided.add(server_id)
+        for router in holders:
+            router.avoid(server_id)
 
     def readmit(self, server_id: Key) -> None:
         """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
-        self._avoided.discard(server_id)
+        for router in self._shards:
+            router.readmit(server_id)
 
-    def _failover_word(self, word: int, avoided: Set[Key]) -> Key:
-        """Serve one pre-hashed word around the avoided servers."""
-        table = self._shards[self.shard_of_word(word)].table
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for word {} is in the avoid set".format(
-                word
-            )
-        )
+    def _reflag(self, flags: frozenset) -> None:
+        """Flag each of ``flags`` on every shard that now holds it.
+
+        Membership changes made through the cluster (:meth:`apply`,
+        :meth:`sync`, :meth:`restore_shard`) take :attr:`avoided` first
+        and hand it here afterwards, so a flagged server that joins (or
+        is restored onto) another shard stays avoided there too, and a
+        server that left every shard sheds its flag.
+        """
+        for router in self._shards:
+            for server_id in flags:
+                if server_id in router:
+                    router.avoid(server_id)
 
     # -- routing -----------------------------------------------------------
+
+    def _fan_out(
+        self,
+        words: np.ndarray,
+        call: Callable[[Router, np.ndarray], np.ndarray],
+        width: Tuple[int, ...] = (),
+    ) -> np.ndarray:
+        """``call(shard, shard_words)`` per shard, scattered back in order.
+
+        The only Python-level loop is over the (few) shards; each
+        shard's slice goes through that shard's own batched path.
+        """
+        words = np.asarray(words, dtype=np.uint64)
+        out = np.empty((words.size,) + width, dtype=object)
+        if words.size == 0:
+            return out
+        owners = self.shards_of_words(words)
+        for shard_index in np.unique(owners):
+            mask = owners == shard_index
+            out[mask] = call(self._shards[int(shard_index)], words[mask])
+        return out
+
+    def _locate(self, key: Key) -> Tuple[int, Router]:
+        """The key's routing word (hashed once) and its owning shard."""
+        word = self._family.word(key)
+        return word, self._shards[self.shard_of_word(word)]
 
     def assign(self, key: Key) -> Key:
         """The key's *assigned* owner, from its shard (the write path).
@@ -292,93 +321,40 @@ class ClusterRouter:
         transient health flag must never strand data on a failover
         replica.
         """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
-        return table.server_ids[table.route_word(word)]
+        word, router = self._locate(key)
+        return router.table.lookup_word(word)
 
     def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Batched :meth:`assign`: raw shard fan-out, avoid-blind."""
-        return self.route_words(self.words_of_keys(keys))
+        return self._fan_out(
+            self.words_of_keys(keys),
+            lambda router, part: router.table.lookup_words(part),
+        )
 
     def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
-        """Route one key through its owning shard.
+        """Route one key through its owning shard's
+        :meth:`Router.route_word` (failover around the shard's flags plus
+        any per-call ``avoid``)."""
+        word, router = self._locate(key)
+        return router.route_word(word, avoid)
 
-        Servers in the cluster's persistent :meth:`avoid` set (plus any
-        per-call ``avoid`` -- identifiers a failure detector has
-        flagged dead, draining or overloaded) are excluded: when the
-        primary is flagged the key is served by its first healthy
-        replica -- the next entry of the shard table's replica set --
-        without any membership change (the control plane reconciles,
-        and pays the remap bill, on its own schedule).
-        """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
-        primary = table.server_ids[table.route_word(word)]
-        avoided = (
-            self._avoided if avoid is None else self._avoided | set(avoid)
+    def route_words(
+        self, words: np.ndarray, avoid: Optional[Iterable[Key]] = None
+    ) -> np.ndarray:
+        """Route pre-hashed words, each shard's slice through its own
+        :meth:`Router.route_words` (vectorized kernel plus failover)."""
+        if avoid is not None:
+            avoid = frozenset(avoid)  # every shard reads it; an iterator would not last
+        return self._fan_out(
+            words, lambda router, part: router.route_words(part, avoid)
         )
-        if primary not in avoided:
-            # The common case stays O(1): the replica walk is paid only
-            # for keys whose primary is actually flagged.
-            return primary
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for key {!r} is in the avoid set".format(
-                key
-            )
-        )
-
-    def route_words(self, words: np.ndarray) -> np.ndarray:
-        """Route pre-hashed words, fanned out shard by shard.
-
-        Each shard's slice goes through that table's own batched kernel
-        (deduped inference for HD, array sweeps elsewhere); the only
-        Python-level loop is over the (few) shards.
-        """
-        words = np.asarray(words, dtype=np.uint64)
-        out = np.empty(words.size, dtype=object)
-        if words.size == 0:
-            return out
-        owners = self.shards_of_words(words)
-        for shard_index in np.unique(owners):
-            mask = owners == shard_index
-            out[mask] = self._shards[int(shard_index)].table.lookup_words(
-                words[mask]
-            )
-        return out
 
     def route_batch(
         self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
     ) -> np.ndarray:
-        """Route a key batch: hash once, fan out shard by shard.
-
-        Avoid-aware, with the same contract as
-        :meth:`Router.route_batch`: the persistent avoid set and the
-        per-call ``avoid`` merge, the batch takes each shard's
-        vectorized kernel, and only keys whose primary is flagged pay
-        the per-key replica walk.
-        """
-        words = self.words_of_keys(keys)
-        assigned = self.route_words(words)
-        avoided = (
-            self._avoided if avoid is None else self._avoided | set(avoid)
-        )
-        if not avoided:
-            return assigned
-        flagged = np.fromiter(
-            (server_id in avoided for server_id in assigned),
-            dtype=bool,
-            count=assigned.size,
-        )
-        for index in np.nonzero(flagged)[0]:
-            assigned[index] = self._failover_word(
-                int(words[index]), avoided
-            )
-        return assigned
+        """Route a key batch: hash once, fan out shard by shard
+        (avoid-aware, same contract as :meth:`Router.route_batch`)."""
+        return self.route_words(self.words_of_keys(keys), avoid)
 
     def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
         """The key's ``k``-replica set, from its owning shard.
@@ -389,24 +365,18 @@ class ClusterRouter:
         batch/scalar bit-exact.  :meth:`route` fails over along this
         set when the primary is in the avoid set.
         """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
+        word, router = self._locate(key)
+        table = router.table
         slots = table.route_word_replicas(word, k)
         return tuple(table.server_ids[int(slot)] for slot in slots)
 
     def route_replicas_words(self, words: np.ndarray, k: int) -> np.ndarray:
         """Batched ``(n, k)`` replica sets over pre-hashed words."""
-        words = np.asarray(words, dtype=np.uint64)
-        out = np.empty((words.size, k), dtype=object)
-        if words.size == 0:
-            return out
-        owners = self.shards_of_words(words)
-        for shard_index in np.unique(owners):
-            mask = owners == shard_index
-            out[mask] = self._shards[int(shard_index)].table.lookup_words_replicas(
-                words[mask], k
-            )
-        return out
+        return self._fan_out(
+            words,
+            lambda router, part: router.table.lookup_words_replicas(part, k),
+            width=(k,),
+        )
 
     def route_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
         """Batched ``(len(keys), k)`` replica sets for a key batch."""
@@ -436,10 +406,6 @@ class ClusterRouter:
     def _close_epoch(
         self, results: Sequence[Optional[EpochResult]]
     ) -> ClusterEpochResult:
-        # Mirrors Router.apply: a server reconciled out of the fleet
-        # sheds its avoid flag (re-admitting the same id later starts
-        # unflagged).
-        self._avoided.intersection_update(self.server_ids)
         records = tuple(
             result.record if result is not None else None
             for result in results
@@ -464,9 +430,10 @@ class ClusterRouter:
 
     def apply(self, update: MembershipUpdate) -> ClusterEpochResult:
         """Apply one membership batch to every shard atomically-per-shard."""
-        return self._close_epoch(
-            [router.apply(update) for router in self._shards]
-        )
+        flags = self.avoided
+        results = [router.apply(update) for router in self._shards]
+        self._reflag(flags)
+        return self._close_epoch(results)
 
     def sync(self, target_server_ids: Iterable[Key]) -> ClusterEpochResult:
         """Reconcile every shard to the declared fleet, as one result.
@@ -480,6 +447,7 @@ class ClusterRouter:
         migration plan.
         """
         target = tuple(target_server_ids)
+        flags = self.avoided
         results: List[Optional[EpochResult]] = []
         for router in self._shards:
             update = router.diff(target)
@@ -492,6 +460,7 @@ class ClusterRouter:
                 results.append(None)
             else:
                 results.append(router.apply(update))
+        self._reflag(flags)
         return self._close_epoch(results)
 
     def join(
@@ -543,9 +512,15 @@ class ClusterRouter:
         diff reuses the outgoing shard's cached probe words (no
         re-hashing); the restored shard then re-tracks its slice of
         the cluster probe population, so fleet-level accounting keeps
-        working.
+        working.  The restored router starts with the outgoing one's
+        observers (so cluster subscribers keep hearing this shard's
+        epochs), and every cluster-wide avoid flag on a server it holds
+        is set on it.  The outgoing router leaves the cluster: later
+        subscriptions to it reach only it, not the restored shard.
         """
-        router = Router.restore(snapshot)
+        outgoing = self._shards[index]
+        flags = self.avoided
+        router = Router.restore(snapshot, observers=outgoing.observers)
         if router.table.family.seed != self._family.seed:
             raise StateError(
                 "shard snapshot hash-family seed {} does not match the "
@@ -555,7 +530,7 @@ class ClusterRouter:
             )
         plan = MigrationPlan(tracked=0, batches=(), epoch=router.epoch)
         if self._probe_keys is not None:
-            delta = self._shards[index].delta_tracker.diff_against(
+            delta = outgoing.delta_tracker.diff_against(
                 lambda words: (
                     router.table.lookup_words(words)
                     if router.table.server_count
@@ -564,7 +539,7 @@ class ClusterRouter:
             )
             plan = MigrationPlan.from_delta(delta, epoch=router.epoch)
         self._shards[index] = router
-        self._avoided.intersection_update(self.server_ids)
+        self._reflag(flags)
         if self._probe_keys is not None:
             owners = self.shards_of_words(
                 self.words_of_keys(self._probe_keys)
@@ -622,9 +597,6 @@ class ClusterRouter:
             for record in meta.get("history", ())
         ]
         cluster._probe_keys = None
-        # Avoid flags are ephemeral serving state, not topology: like
-        # Router.restore, a restored cluster starts with none.
-        cluster._avoided = set()
         if probe_keys is not None:
             cluster.track(probe_keys)
         return cluster

@@ -477,7 +477,7 @@ class MigrationExecutor:
     3. **commit** -- delete the verified keys at their source (unless
        ``delete_source=False``: the graceful-drain pre-copy keeps the
        source serving until the membership epoch lands; the caller
-       then reconciles the double copies over :meth:`processed_moves`).
+       then reconciles the double copies over :meth:`processed_batches`).
 
     The hot path is array-at-a-time: the plan is flattened once into
     per-batch key offsets, a tick's cursor advances by one
@@ -828,9 +828,12 @@ class MigrationExecutor:
         """Yield ``(batch, keys)`` prefixes the cursor has processed.
 
         ``keys`` is the batch's processed (non-empty) prefix, skipped
-        keys included -- the bulk reconciliation surface behind
-        :meth:`processed_moves`, letting callers work per batch instead
-        of per key (see :meth:`~repro.control.loop.ControlLoop.drain`).
+        keys included.  This is the reconciliation surface for
+        retained-source runs: after the cutover epoch, the caller
+        resolves each processed key *once across every executor that
+        touched the plan* (the drain's catch-up pass re-runs an
+        overlapping plan), batch by batch rather than key by key -- see
+        :meth:`~repro.control.loop.ControlLoop.drain`.
         """
         bounds = self._bounds
         pos = self._pos
@@ -845,22 +848,6 @@ class MigrationExecutor:
             )
             if keys:
                 yield batch, keys
-
-    def processed_moves(self):
-        """Yield ``(source, destination, key)`` for every processed move.
-
-        Covers exactly the cursor's range -- the moves :meth:`tick` has
-        taken through the copy/verify/commit phases so far (skipped
-        keys included).  This is the reconciliation surface for
-        retained-source runs: after the cutover epoch, the caller
-        resolves each processed key *once across every executor that
-        touched the plan* (the drain's catch-up pass re-runs an
-        overlapping plan) -- see
-        :meth:`~repro.control.loop.ControlLoop.drain`.
-        """
-        for batch, keys in self.processed_batches():
-            for key in keys:
-                yield batch.source, batch.destination, key
 
     def verify(self) -> int:
         """Ownership pass over everything the cursor has processed.

@@ -313,6 +313,11 @@ class Router:
 
     # -- observers ---------------------------------------------------------
 
+    @property
+    def observers(self) -> Tuple[RouterObserver, ...]:
+        """The subscribed observers, in dispatch order."""
+        return tuple(self._observers)
+
     def subscribe(self, observer: RouterObserver) -> RouterObserver:
         """Attach an observer; returns it (decorator-friendly)."""
         self._observers.append(observer)
@@ -345,23 +350,6 @@ class Router:
     def readmit(self, server_id: Key) -> None:
         """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
         self._avoided.discard(server_id)
-
-    def _failover_word(self, word: int, avoided: Set[Key]) -> Key:
-        """Serve one pre-hashed word around the avoided servers."""
-        table = self._table
-        primary = table.server_ids[table.route_word(word)]
-        if primary not in avoided:
-            return primary
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for word {} is in the avoid set".format(
-                word
-            )
-        )
 
     # -- remap accounting --------------------------------------------------
 
@@ -541,6 +529,10 @@ class Router:
         """Batched :meth:`assign` through the table's kernel."""
         return self._table.lookup_batch(keys)
 
+    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
+        """The persistent avoid flags merged with a per-call ``avoid``."""
+        return self._avoided if avoid is None else self._avoided | set(avoid)
+
     def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
         """Scalar lookup through the wrapped table.
 
@@ -548,45 +540,90 @@ class Router:
         per-call ``avoid``) are excluded: a key whose primary is flagged
         is served by its first non-flagged replica, with no membership
         change.  The common (nothing-flagged) case stays a straight
-        table lookup.
+        table lookup; otherwise the key takes :meth:`route_word`.
         """
-        avoided = (
-            self._avoided
-            if avoid is None
-            else self._avoided | set(avoid)
-        )
-        if not avoided:
+        if avoid is None and not self._avoided:
             return self._table.lookup(key)
-        self._table._require_servers()
-        return self._failover_word(self._table.family.word(key), avoided)
+        return self.route_word(self._table.family.word(key), avoid)
 
-    def route_batch(
-        self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
-    ) -> np.ndarray:
-        """Batched lookup through the wrapped table (avoid-aware).
+    def route_word(self, word: int, avoid: Optional[Iterable[Key]] = None) -> Key:
+        """Scalar :meth:`route` over a pre-hashed word.
 
-        The batch takes the table's vectorized kernel; only keys whose
-        primary is flagged pay the per-key replica walk.
+        A primary that is not avoided returns at once; a flagged one
+        fails over through the same replica pick as :meth:`route_words`.
         """
-        avoided = (
-            self._avoided
-            if avoid is None
-            else self._avoided | set(avoid)
-        )
-        if not avoided:
-            return self._table.lookup_batch(keys)
-        words = self._table.words_of_keys(keys)
+        avoided = self._avoid_set(avoid)
+        primary = self._table.lookup_word(word)
+        if primary not in avoided:
+            return primary
+        return self._failover(np.array([word], dtype=np.uint64), avoided)[0]
+
+    def route_words(
+        self, words: np.ndarray, avoid: Optional[Iterable[Key]] = None
+    ) -> np.ndarray:
+        """Route pre-hashed words around the avoided servers (batch).
+
+        The batch takes the table's vectorized kernel; the keys whose
+        owner is flagged then share one :meth:`_failover` pick.
+        """
         assigned = self._table.lookup_words(words)
+        avoided = self._avoid_set(avoid)
+        if not avoided:
+            return assigned
+        # Server ids may be any hashable (tuples included), so the
+        # flag test is set membership rather than ``np.isin``.
         flagged = np.fromiter(
             (server_id in avoided for server_id in assigned),
             dtype=bool,
             count=assigned.size,
         )
-        for index in np.nonzero(flagged)[0]:
-            assigned[index] = self._failover_word(
-                int(words[index]), avoided
+        if flagged.any():
+            assigned[flagged] = self._failover(
+                np.asarray(words, dtype=np.uint64)[flagged], avoided
             )
         return assigned
+
+    def _failover(self, words: np.ndarray, avoided: Set[Key]) -> np.ndarray:
+        """First non-avoided replica of each word: the one failover pick.
+
+        One replica lookup of depth ``len(avoided) + 1`` (capped at the
+        pool size, so it always reaches a healthy server when one
+        exists) serves every word; the avoid test runs once per pool
+        slot, not per replica.  Raises
+        :class:`~repro.errors.EmptyTableError` when a word has no such
+        replica.
+        """
+        table = self._table
+        k = min(table.server_count, len(avoided) + 1)
+        if words.size == 1:
+            # One word: the scalar replica walk skips the batch kernel's
+            # fixed cost (bit-exact with it by the replica contract).
+            slots = table.route_word_replicas(int(words[0]), k)[None, :]
+        else:
+            slots = table.route_replicas_batch(words, k)
+        slot_avoided = np.fromiter(
+            (server_id in avoided for server_id in table.server_ids),
+            dtype=bool,
+            count=table.server_count,
+        )
+        healthy = ~slot_avoided[slots]
+        served = healthy.any(axis=1)
+        if not served.all():
+            raise EmptyTableError(
+                "every candidate server for word {} is in the avoid set".format(
+                    int(words[~served][0])
+                )
+            )
+        first = healthy.argmax(axis=1)
+        chosen = slots[np.arange(first.size), first]
+        return np.asarray(table.server_ids, dtype=object)[chosen]
+
+    def route_batch(
+        self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
+    ) -> np.ndarray:
+        """Batched, avoid-aware :meth:`route`: :meth:`route_words` over
+        the batch's hashed words."""
+        return self.route_words(self._table.words_of_keys(keys), avoid)
 
     def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
         """The key's ``k``-replica set through the wrapped table.

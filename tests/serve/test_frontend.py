@@ -73,6 +73,29 @@ class TestServingFrontendSync:
         assert frontend.metrics.cache_flushes == 0
         frontend.close()
 
+    def test_invalidation_stays_exact_after_restore_shard(self):
+        cluster = ClusterRouter("consistent", n_shards=3, seed=3)
+        cluster.sync(["a", "b", "c", "d"])
+        plane = DataPlane(cluster)
+        population = list(range(500))
+        plane.put_many(population, population)
+        plane.track()
+        frontend = ServingFrontend(plane)
+        cluster.restore_shard(1, cluster.snapshot_shard(1))
+        for key in population:
+            frontend.cache.put(key, key)
+        results = cluster.sync(["a", "b", "c", "d", "e"])
+        moved = {key for batch in results.plan.batches for key in batch.keys}
+        assert any(cluster.shard_of(key) == 1 for key in moved)
+        assert set(frontend.cache.keys()) == set(population) - moved
+        frontend.close()
+        for key in population:
+            frontend.cache.put(key, key)
+        plane.track()
+        cluster.sync(["a", "b", "c", "d", "e", "f"])
+        # detached from every shard, the restored one included
+        assert len(frontend.cache) == len(population)
+
     def test_close_detaches_invalidators(self):
         router, plane, population = tracked_stack()
         frontend = ServingFrontend(plane)

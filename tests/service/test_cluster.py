@@ -10,6 +10,7 @@ from repro.service import (
     ClusterRouter,
     MembershipUpdate,
     Router,
+    RouterObserver,
     dumps_state,
     loads_state,
 )
@@ -257,6 +258,61 @@ class TestClusterSnapshot:
         # now move back.
         assert not plan.is_empty
         assert {move.key for move in plan.moves} <= set(PROBE.tolist())
+
+    def test_restore_shard_keeps_cluster_observers(self):
+        cluster = build(n_shards=3, probe=True)
+        shards_heard = []
+
+        class Recorder(RouterObserver):
+            def on_epoch(self, result):
+                shards_heard.append(result.record.epoch)
+
+        observer = cluster.subscribe(Recorder())
+        cluster.restore_shard(1, cluster.snapshot_shard(1))
+        cluster.sync(FLEET[:10])
+        assert len(shards_heard) == 3  # the restored shard still reports
+        cluster.unsubscribe(observer)
+        cluster.sync(FLEET)
+        assert len(shards_heard) == 3
+
+    def test_restore_shard_keeps_avoid_flags_of_members(self):
+        cluster = build(n_shards=3)
+        cluster.shard(1).sync(FLEET[1:])
+        saved = cluster.snapshot_shard(1)  # a shard without srv-00
+        cluster.shard(1).sync(FLEET)
+        cluster.avoid(FLEET[0])
+        cluster.avoid(FLEET[1])
+        router, __ = cluster.restore_shard(1, saved)
+        assert router.avoided == frozenset({FLEET[1]})
+        assert cluster.avoided == frozenset(FLEET[:2])
+        keys = [key for key in range(3_000) if cluster.shard_of(key) == 1]
+        assert not set(cluster.route_batch(keys).tolist()) & set(FLEET[:2])
+
+    def test_restored_shard_flags_an_avoided_server_that_rejoins(self):
+        cluster = build(n_shards=3)
+        cluster.shard(1).sync(FLEET[1:])
+        saved = cluster.snapshot_shard(1)  # a shard without srv-00
+        cluster.shard(1).sync(FLEET)
+        cluster.avoid(FLEET[0])
+        cluster.restore_shard(1, saved)
+        cluster.sync(FLEET)  # srv-00 rejoins shard 1 only
+        assert FLEET[0] in cluster.shard(1).avoided
+        keys = list(range(3_000))
+        routed = cluster.route_batch(keys).tolist()
+        assert FLEET[0] not in routed
+        assert [cluster.route(key) for key in keys] == routed
+
+    def test_avoided_server_joining_another_shard_stays_avoided(self):
+        cluster = build(n_shards=3)
+        cluster.shard(2).sync(FLEET[1:])  # shards diverge on srv-00
+        cluster.avoid(FLEET[0])
+        cluster.sync(FLEET)
+        assert FLEET[0] in cluster.shard(2).avoided
+        assert FLEET[0] not in cluster.route_batch(range(3_000)).tolist()
+        cluster.leave(FLEET[0])  # leaving every shard sheds the flag
+        assert cluster.avoided == frozenset()
+        cluster.join(FLEET[0])
+        assert cluster.avoided == frozenset()
 
     def test_restore_shard_rejects_foreign_seed(self):
         cluster = build(seed=3)

@@ -328,7 +328,11 @@ class TestProcessedViews:
         seen = []
         while not bulk.status.done:
             bulk.tick()
-            processed = list(bulk.processed_moves())
+            processed = [
+                (batch.source, batch.destination, key)
+                for batch, keys in bulk.processed_batches()
+                for key in keys
+            ]
             remaining = [
                 (batch.source, batch.destination, key)
                 for batch in bulk.remaining_plan().batches
@@ -341,15 +345,3 @@ class TestProcessedViews:
             assert processed + remaining == all_moves
             seen.append(len(processed))
         assert seen[-1] == plan.total_keys
-
-    def test_processed_batches_match_moves(self):
-        __, bulk_plane, plan = grown_pair("rendezvous", keys=1_000)
-        bulk = MigrationExecutor(plan, bulk_plane, max_keys_per_tick=41)
-        bulk.tick()
-        bulk.tick()
-        flattened = [
-            (batch.source, batch.destination, key)
-            for batch, keys in bulk.processed_batches()
-            for key in keys
-        ]
-        assert flattened == list(bulk.processed_moves())

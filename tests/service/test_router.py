@@ -302,6 +302,16 @@ class TestAvoidMachinery:
             batch, np.asarray([router.route(key) for key in keys], object)
         )
 
+    def test_route_word_matches_route_under_avoid(self):
+        router = self._router()
+        router.avoid("b")
+        for key in range(200):
+            word = router.table.family.word(key)
+            assert router.route_word(word) == router.route(key)
+            assert router.route_word(word, iter(["c"])) == router.route(
+                key, avoid={"c"}
+            )
+
     def test_per_call_avoid_merges_with_persistent(self):
         router = self._router()
         router.avoid("a")
